@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -52,14 +53,14 @@ from repro.neural.shared import (
     share_model,
     shared_segments_report,
 )
-from repro.obs.trace import SpanContext, Tracer, traced
+from repro.obs.trace import Tracer
 from repro.perf import merge_summaries
 from repro.serve.metrics import ServeMetrics
 from repro.serve.server import (
     ServerConfig,
     _HTTPError,
-    read_http_request,
-    write_http_response,
+    read_headers,
+    serve_connection,
 )
 from repro.storage.schema import Database
 
@@ -210,8 +211,16 @@ class WorkerPool:
         await asyncio.gather(
             *(self._await_ready(handle) for handle in self._workers)
         )
+        handler = functools.partial(
+            serve_connection,
+            route=self._route,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            span_name="front.request",
+            max_body_bytes=self.config.worker.max_body_bytes,
+        )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            handler, self.config.host, self.config.port
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._supervisor = asyncio.ensure_future(self._supervise())
@@ -368,11 +377,19 @@ class WorkerPool:
                 handle.conn.close()
                 self._workers[index] = replacement
 
-    def _pick_worker(self) -> Optional[WorkerHandle]:
-        ready = [
+    def _ready_workers(self) -> List[WorkerHandle]:
+        """READY workers whose process is alive.
+
+        A SIGKILLed worker stays READY until the next heartbeat, so
+        liveness is checked here too.
+        """
+        return [
             handle for handle in self._workers
             if handle.state == READY and handle.process.is_alive()
         ]
+
+    def _pick_worker(self) -> Optional[WorkerHandle]:
+        ready = self._ready_workers()
         if not ready:
             return None
         handle = ready[self._rr % len(ready)]
@@ -389,78 +406,6 @@ class WorkerPool:
             await asyncio.sleep(self.config.drain_poll_interval)
 
     # ----- request path ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await read_http_request(
-                    reader, self.config.worker.max_body_bytes
-                )
-                if request is None:
-                    break
-                method, target, headers, body = request
-                start = self._loop.time()
-                inbound = headers.get("x-trace-id")
-                parent = (
-                    SpanContext(
-                        trace_id=inbound,
-                        span_id=headers.get("x-parent-span", ""),
-                    )
-                    if inbound else None
-                )
-                with traced(
-                    self.tracer,
-                    "front.request",
-                    parent=parent,
-                    method=method,
-                    target=target.split("?", 1)[0],
-                ) as span:
-                    try:
-                        status, payload, extra = await self._route(
-                            method, target, body, span
-                        )
-                    except _HTTPError as exc:
-                        status = exc.status
-                        payload = json.dumps({"error": str(exc)}).encode()
-                        extra = {}
-                        if status >= 500:
-                            span.set_error(exc)
-                    except Exception as exc:  # noqa: BLE001 - keep serving
-                        status = 500
-                        payload = json.dumps(
-                            {"error": f"front error: {exc}"}
-                        ).encode()
-                        extra = {}
-                        span.set_error(exc)
-                    span.set_attribute("status", status)
-                    if span.trace_id:
-                        extra = {**extra, "X-Trace-Id": span.trace_id}
-                self.metrics.observe_request(
-                    status, self._loop.time() - start
-                )
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                write_http_response(
-                    writer, status, payload, keep_alive, extra
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     async def _route(
         self, method: str, target: str, body: bytes, span
@@ -555,13 +500,7 @@ class WorkerPool:
             if not status_line:
                 raise ConnectionResetError("worker closed before replying")
             status = int(status_line.split()[1])
-            response_headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                response_headers[name.strip().lower()] = value.strip()
+            response_headers = await read_headers(reader)
             length = int(response_headers.get("content-length", "0") or "0")
             payload = await reader.readexactly(length) if length else b""
             return status, payload
@@ -572,31 +511,24 @@ class WorkerPool:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _worker_get(
-        self, handle: WorkerHandle, path: str, timeout: float = 5.0
-    ) -> dict:
-        try:
-            status, payload = await asyncio.wait_for(
-                self._proxy_once(handle, "GET", path, b"", {}),
-                timeout=timeout,
-            )
-            doc = json.loads(payload.decode("utf-8"))
-            if status != 200:
-                return {"error": doc.get("error", f"HTTP {status}")}
-            return doc
-        except (OSError, asyncio.TimeoutError, ValueError) as exc:
-            return {"error": str(exc)}
-
-    async def _worker_post(
+    async def _worker_call(
         self,
         handle: WorkerHandle,
         path: str,
-        payload: dict,
+        payload: Optional[dict] = None,
         timeout: float = 60.0,
     ) -> dict:
-        body = json.dumps(payload).encode("utf-8")
+        """GET *path* (POST *payload* if given) on one worker; its JSON.
+
+        Raises :class:`RuntimeError` on a non-200 reply; connection
+        errors and timeouts propagate.
+        """
+        method, body = (
+            ("GET", b"") if payload is None
+            else ("POST", json.dumps(payload).encode("utf-8"))
+        )
         status, raw = await asyncio.wait_for(
-            self._proxy_once(handle, "POST", path, body, {}),
+            self._proxy_once(handle, method, path, body, {}),
             timeout=timeout,
         )
         doc = json.loads(raw.decode("utf-8"))
@@ -607,19 +539,30 @@ class WorkerPool:
             )
         return doc
 
+    async def _worker_docs(self, path: str) -> List[dict]:
+        """GET *path* from every worker; ``{"error": ...}`` where it fails."""
+
+        async def one(handle: WorkerHandle) -> dict:
+            if (
+                handle.state not in (READY, DRAINING)
+                or not handle.process.is_alive()
+            ):
+                return {"error": f"worker {handle.worker_id} is {handle.state}"}
+            try:
+                return await self._worker_call(handle, path, timeout=5.0)
+            except (
+                OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
+                ValueError, RuntimeError,
+            ) as exc:
+                return {"error": str(exc)}
+
+        return await asyncio.gather(*(one(handle) for handle in self._workers))
+
     # ----- telemetry ------------------------------------------------------
 
     async def _healthz(self) -> dict:
         """Per-worker liveness + queue depth, plus the weights doc."""
-        docs = await asyncio.gather(
-            *(
-                self._worker_get(handle, "/healthz")
-                if handle.state in (READY, DRAINING)
-                and handle.process.is_alive()
-                else _absent(handle)
-                for handle in self._workers
-            )
-        )
+        docs = await self._worker_docs("/healthz")
         workers = []
         for handle, doc in zip(self._workers, docs):
             entry = handle.describe()
@@ -630,7 +573,7 @@ class WorkerPool:
             if "weights" in doc:
                 entry["weights"] = doc["weights"]
             workers.append(entry)
-        ready = sum(1 for h in self._workers if h.state == READY)
+        ready = len(self._ready_workers())
         if self._closing:
             status = "draining"
         elif ready == len(self._workers):
@@ -653,15 +596,7 @@ class WorkerPool:
 
     async def _metrics(self) -> dict:
         """Front report + per-worker reports + exact-merge aggregates."""
-        docs = await asyncio.gather(
-            *(
-                self._worker_get(handle, "/metrics")
-                if handle.state in (READY, DRAINING)
-                and handle.process.is_alive()
-                else _absent(handle)
-                for handle in self._workers
-            )
-        )
+        docs = await self._worker_docs("/metrics")
         per_worker: Dict[str, dict] = {}
         counters: Dict[str, float] = {}
         latency, batches = [], []
@@ -722,7 +657,7 @@ class WorkerPool:
                 try:
                     while handle.inflight > 0:
                         await asyncio.sleep(self.config.drain_poll_interval)
-                    result = await self._worker_post(
+                    result = await self._worker_call(
                         handle,
                         "/control/swap",
                         {
@@ -753,7 +688,7 @@ class WorkerPool:
         for handle in self._workers:
             if handle.state not in (READY, DRAINING):
                 continue
-            result = await self._worker_post(
+            result = await self._worker_call(
                 handle, "/control/invalidate", {"model": name}
             )
             dropped.append({"worker_id": handle.worker_id, **result})
@@ -783,10 +718,6 @@ class WorkerPool:
             self.invalidate_model_async(name), self._loop
         )
         return future.result(timeout)
-
-
-async def _absent(handle: WorkerHandle) -> dict:
-    return {"error": f"worker {handle.worker_id} is {handle.state}"}
 
 
 # ----- worker process -------------------------------------------------------

@@ -24,9 +24,10 @@ before the socket closes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import SpanContext, Tracer, traced
 from repro.serve.batcher import MicroBatcher, QueueFullError, ServerDrainingError
@@ -87,7 +88,19 @@ class _HTTPError(Exception):
 #
 # The single-process server and the multi-worker frontend
 # (:mod:`repro.serve.pool`) speak the same minimal HTTP/1.1; these
-# helpers are the one implementation both use.
+# helpers, down to the per-connection loop, are the one implementation
+# both use.
+
+
+async def read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Read header lines up to the blank line; names lower-cased."""
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 async def read_http_request(
@@ -96,31 +109,33 @@ async def read_http_request(
     """Read one request; ``None`` on a cleanly closed connection.
 
     Returns ``(method, target, lower-cased headers, body)``.  Raises
-    :class:`_HTTPError` on malformed framing or an oversized body.
+    :class:`_HTTPError` on malformed framing (400: bad request line,
+    over-long line, bad ``Content-Length``, truncated body) or an
+    oversized body (413), and nothing else.
     """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").strip().split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise _HTTPError(400, f"malformed request line: {parts!r}")
-    method, target = parts[0].upper(), parts[1]
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0") or "0"
     try:
-        length = int(length_text)
-    except ValueError:
-        raise _HTTPError(400, f"bad Content-Length: {length_text!r}") from None
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _HTTPError(400, f"malformed request line: {parts!r}")
+        headers = await read_headers(reader)
+    except ValueError:  # a line past the StreamReader's limit
+        raise _HTTPError(400, "request line or header too long") from None
+    length_text = headers.get("content-length", "0") or "0"
+    if not length_text.isdecimal():
+        raise _HTTPError(400, f"bad Content-Length: {length_text!r}")
+    length = int(length_text)
     if length > max_body_bytes:
         raise _HTTPError(413, f"body of {length} bytes exceeds limit")
-    body = await reader.readexactly(length) if length else b""
-    return method, target, headers, body
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise _HTTPError(
+            400, f"body ended after {len(exc.partial)} of {length} bytes"
+        ) from None
+    return parts[0].upper(), parts[1], headers, body
 
 
 def write_http_response(
@@ -141,6 +156,109 @@ def write_http_response(
     lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
     head = "\r\n".join(lines) + "\r\n\r\n"
     writer.write(head.encode("latin-1") + body)
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    *,
+    route: Callable[..., Awaitable[tuple]],
+    metrics: ServeMetrics,
+    tracer: Optional[Tracer],
+    span_name: str,
+    max_body_bytes: int,
+) -> None:
+    """The per-connection request loop of both tiers.
+
+    Reads requests until the client closes or sends ``Connection:
+    close``.  Each request runs under a *span_name* ingress span
+    (parented by inbound ``x-trace-id``/``x-parent-span``), is passed
+    to ``route(method, target, body, span)``, counted in *metrics* and
+    answered.  *route* returns ``(status, payload)`` or ``(status,
+    payload, extra response headers)``; a dict payload is JSON-encoded
+    here, after gaining ``latency_ms`` (on 200) and ``trace_id`` (when
+    traced); a bytes payload is sent verbatim.  A framing error gets
+    its status (400/413) and closes the connection, since the rest of
+    the stream can no longer be framed.
+    """
+    loop = asyncio.get_running_loop()
+    try:
+        while True:
+            try:
+                # a global lookup on every call, awaited in this task:
+                # perfbench/layers.py rebinds it to key traced requests
+                request = await read_http_request(reader, max_body_bytes)
+            except _HTTPError as exc:
+                metrics.observe_request(exc.status, 0.0)
+                body = json.dumps({"error": str(exc)}).encode("utf-8")
+                write_http_response(writer, exc.status, body, False)
+                await writer.drain()
+                break
+            if request is None:
+                break
+            method, target, headers, body = request
+            start = loop.time()
+            # A bare inbound x-trace-id (no span id) roots this request's
+            # span in the caller's existing trace; when the pool front
+            # also forwards its own span id in x-parent-span, the worker
+            # span nests under it so `trace summarize DIR` stitches
+            # front→worker→decode.
+            inbound = headers.get("x-trace-id")
+            parent = (
+                SpanContext(
+                    trace_id=inbound, span_id=headers.get("x-parent-span", "")
+                )
+                if inbound else None
+            )
+            with traced(
+                tracer,
+                span_name,
+                parent=parent,
+                method=method,
+                target=target.split("?", 1)[0],
+            ) as span:
+                extra: list = []
+                try:
+                    status, payload, *extra = await route(
+                        method, target, body, span
+                    )
+                except _HTTPError as exc:
+                    status, payload = exc.status, {"error": str(exc)}
+                    if status >= 500:
+                        span.set_error(exc)
+                except Exception as exc:  # noqa: BLE001 - 500, keep serving
+                    status, payload = 500, {"error": f"internal error: {exc}"}
+                    span.set_error(exc)
+                span.set_attribute("status", status)
+                trace_id = span.trace_id
+            elapsed = loop.time() - start
+            metrics.observe_request(status, elapsed)
+            response_headers = dict(*extra)
+            if trace_id:
+                response_headers["X-Trace-Id"] = trace_id
+            if isinstance(payload, dict):
+                if status == 200:
+                    payload.setdefault("latency_ms", elapsed * 1000.0)
+                if trace_id is not None:
+                    payload["trace_id"] = trace_id
+                payload = json.dumps(payload).encode("utf-8")
+            keep_alive = (
+                headers.get("connection", "keep-alive").lower() != "close"
+            )
+            write_http_response(
+                writer, status, payload, keep_alive, response_headers
+            )
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (ConnectionResetError, BrokenPipeError):
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
 
 
 class InferenceServer:
@@ -216,8 +334,16 @@ class InferenceServer:
     async def start(self) -> Tuple[str, int]:
         """Bind the socket and launch the batcher; returns (host, port)."""
         await self.batcher.start()
+        handler = functools.partial(
+            serve_connection,
+            route=self._route,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            span_name="http.request",
+            max_body_bytes=self.config.max_body_bytes,
+        )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            handler, self.config.host, self.config.port
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
@@ -267,97 +393,6 @@ class InferenceServer:
             encoder_cache=self.encoder_cache,
             model_name=model_name,
         )
-
-    # ----- connection handling -----------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await read_http_request(
-                    reader, self.config.max_body_bytes
-                )
-                if request is None:
-                    break
-                method, target, headers, body = request
-                loop = asyncio.get_running_loop()
-                start = loop.time()
-                # A bare inbound x-trace-id (no span id) roots this
-                # request's span in the caller's existing trace; when
-                # the pool front also forwards its own span id in
-                # x-parent-span, the worker span nests under it so
-                # `trace summarize DIR` stitches front→worker→decode.
-                inbound = headers.get("x-trace-id")
-                parent = (
-                    SpanContext(
-                        trace_id=inbound,
-                        span_id=headers.get("x-parent-span", ""),
-                    )
-                    if inbound else None
-                )
-                with traced(
-                    self.tracer,
-                    "http.request",
-                    parent=parent,
-                    method=method,
-                    target=target.split("?", 1)[0],
-                ) as span:
-                    try:
-                        status, payload = await self._route(
-                            method, target, body, span
-                        )
-                    except _HTTPError as exc:
-                        status, payload = exc.status, {"error": str(exc)}
-                        if status >= 500:
-                            span.set_error(exc)
-                    except Exception as exc:  # noqa: BLE001 - 500, keep serving
-                        status, payload = 500, {
-                            "error": f"internal error: {exc}"
-                        }
-                        span.set_error(exc)
-                    span.set_attribute("status", status)
-                    trace_id = span.trace_id
-                elapsed = loop.time() - start
-                self.metrics.observe_request(status, elapsed)
-                if isinstance(payload, dict):
-                    if status == 200:
-                        payload.setdefault("latency_ms", elapsed * 1000.0)
-                    if trace_id is not None:
-                        payload["trace_id"] = trace_id
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                self._write_response(
-                    writer, status, payload, keep_alive, trace_id=trace_id
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        keep_alive: bool,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        extra = {"X-Trace-Id": trace_id} if trace_id else None
-        write_http_response(writer, status, body, keep_alive, extra)
 
     # ----- routing ------------------------------------------------------
 

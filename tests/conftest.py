@@ -3,6 +3,8 @@ corpora so individual tests stay fast."""
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.core.nvbench import NVBenchConfig, build_nvbench
@@ -61,3 +63,31 @@ def small_nvbench():
         seed=5,
     )
     return build_nvbench(config=config)
+
+
+@pytest.fixture()
+def raw_http():
+    """Send raw bytes to a server; its parsed replies up to EOF.
+
+    ``raw_http(host, port, data)`` returns one ``(status line, headers,
+    body)`` per reply.  Reading to EOF also checks that the server
+    closed the connection.
+    """
+
+    def exchange(host, port, data):
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(data)
+            stream = b""
+            while chunk := sock.recv(65536):
+                stream += chunk
+        replies = []
+        while stream:
+            head, _, stream = stream.partition(b"\r\n\r\n")
+            status, *lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            length = int(headers["Content-Length"])
+            replies.append((status, headers, stream[:length]))
+            stream = stream[length:]
+        return replies
+
+    return exchange

@@ -12,6 +12,8 @@ import asyncio
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.neural.data import build_dataset, encode_source_batch
 from repro.neural.model import Seq2Vis
@@ -39,6 +41,7 @@ from repro.serve import (
     translate_batch,
     translate_question,
 )
+from repro.serve.server import _HTTPError, read_http_request
 
 QUESTIONS = [
     "how many rows per category?",
@@ -48,6 +51,12 @@ QUESTIONS = [
     "what is the number of items per year?",
     "compare the minimum score across groups",
 ]
+
+#: two pipelined requests on one connection, the second asking to close
+KEEP_ALIVE_THEN_CLOSE = (
+    b"GET /nope HTTP/1.1\r\n\r\n"
+    b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n"
+)
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +400,56 @@ class TestMicroBatcher:
             MicroBatcher(_Recorder(), max_batch_size=0)
 
 
+_HEAD_LINES = st.one_of(
+    st.binary(max_size=24),
+    st.sampled_from(
+        [b"GET /healthz HTTP/1.1", b"POST /translate HTTP/1.1", b""]
+    ),
+    st.one_of(st.integers(-10, 100).map(str), st.text(max_size=6)).map(
+        lambda value: b"Content-Length: " + value.encode("utf-8")
+    ),
+)
+_STREAMS = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda lines, body: b"\r\n".join(lines) + b"\r\n\r\n" + body,
+        st.lists(_HEAD_LINES, max_size=6),
+        st.binary(max_size=40),
+    ),
+)
+
+
+class TestReadHTTPRequest:
+    @example(
+        stream=b"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        limit=1 << 16, max_body=64,
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=_STREAMS,
+        limit=st.sampled_from([16, 1 << 16]),
+        max_body=st.integers(0, 64),
+    )
+    def test_request_none_or_http_error(self, stream, limit, max_body):
+        """Any byte stream frames, ends cleanly, or raises _HTTPError."""
+
+        async def read():
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(stream)
+            reader.feed_eof()
+            return await read_http_request(reader, max_body)
+
+        try:
+            request = asyncio.run(read())
+        except _HTTPError as exc:
+            assert exc.status in (400, 413)
+            return
+        if request is not None:
+            _, _, headers, body = request
+            assert len(body) == int(headers.get("content-length") or 0)
+            assert len(body) <= max_body
+
+
 class TestServerEndToEnd:
     def test_healthz_shape(self, running):
         server, client = running
@@ -447,6 +506,7 @@ class TestServerEndToEnd:
             assert response["tokens"] == reference.tokens, request
             assert response["vis"] == reference.vis_text
             assert response["cached"] is False
+            assert response["latency_ms"] > 0.0
         metrics = client.metrics()
         assert metrics["batch_size"]["count"] > 0
         assert metrics["counters"]["batched_requests"] >= len(requests)
@@ -473,7 +533,7 @@ class TestServerEndToEnd:
         assert response["model"] == "deepeye"
         assert response["format"] == "vega-lite"
 
-    def test_http_errors(self, running, stack):
+    def test_http_errors(self, running, stack, raw_http):
         _, _, databases = stack
         _, client = running
         db = sorted(databases)[0]
@@ -494,6 +554,12 @@ class TestServerEndToEnd:
         assert client.request("GET", "/nope")[0] == 404
         status, body = client.request("POST", "/translate", None)
         assert status == 400 and "JSON" in body["error"]
+        # keep-alive by default; "Connection: close" is answered, then closed
+        replies = raw_http(client.host, client.port, KEEP_ALIVE_THEN_CLOSE)
+        assert [(line, headers["Connection"]) for line, headers, _ in replies] == [
+            ("HTTP/1.1 404 Not Found", "keep-alive"),
+            ("HTTP/1.1 404 Not Found", "close"),
+        ]
 
     def test_queue_overflow_returns_429(self, stack):
         _, _, databases = stack

@@ -9,6 +9,7 @@ stale cache entries, and shutdown leaves ``/dev/shm`` clean.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
@@ -21,7 +22,10 @@ from repro.obs import JsonlExporter, Tracer, load_spans, span_tree, summarize
 from repro.serve import (
     BackgroundServer,
     DecodeConfig,
+    InferenceServer,
     LoadGenerator,
+    ModelRegistry,
+    NeuralTranslator,
     PoolConfig,
     ServerConfig,
     WorkerPool,
@@ -87,6 +91,76 @@ def running(stack):
     pool = _pool(stack)
     with BackgroundServer(pool) as background:
         yield pool, background.client()
+
+
+@pytest.fixture(scope="module")
+def single(stack):
+    """The single-process tier over the same model, for edge tests."""
+    model, dataset, databases = stack
+    registry = ModelRegistry()
+    registry.register(
+        "attn", NeuralTranslator(model, dataset.in_vocab, dataset.out_vocab),
+        default=True,
+    )
+    server = InferenceServer(registry, databases, _worker_config())
+    with BackgroundServer(server) as background:
+        yield server, background.client()
+
+
+def _edge_counters(client) -> dict:
+    """Request counters of the process that owns the public socket."""
+    doc = client.metrics()
+    return doc.get("front", doc)["counters"]
+
+
+FRAMING_PROBES = [
+    pytest.param(
+        b"BOGUS\r\n\r\n", "400 Bad Request", "malformed request line",
+        id="bad-request-line",
+    ),
+    pytest.param(
+        b"POST /translate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        "400 Bad Request", "bad Content-Length", id="non-numeric-length",
+    ),
+    pytest.param(
+        b"POST /translate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        "400 Bad Request", "bad Content-Length", id="negative-length",
+    ),
+    pytest.param(
+        b"POST /translate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (ServerConfig().max_body_bytes + 1),
+        "413 Payload Too Large", "exceeds limit", id="oversized-body",
+    ),
+]
+
+
+@pytest.mark.parametrize("tier", ["single", "running"])
+@pytest.mark.parametrize("probe, status, message", FRAMING_PROBES)
+def test_framing_errors_answered_counted_and_closed(
+    tier, probe, status, message, request, raw_http, caplog
+):
+    """Both tiers answer a bad frame with its status, count it, close."""
+    _, client = request.getfixturevalue(tier)
+    before = _edge_counters(client)
+    replies = raw_http(client.host, client.port, probe)
+    after = _edge_counters(client)
+
+    (reply,) = replies  # one answer, then the server hung up
+    status_line, headers, body = reply
+    assert status_line == f"HTTP/1.1 {status}"
+    assert headers["Connection"] == "close"
+    assert message in json.loads(body)["error"]
+
+    def delta(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    assert delta(f"requests_{status.split()[0]}") == 1
+    # the probe plus the /metrics call that read `before`
+    assert delta("requests_total") == 2
+    assert not [
+        record for record in caplog.records
+        if "client_connected_cb" in record.getMessage()
+    ]
 
 
 class TestPoolServing:
@@ -156,20 +230,40 @@ class TestPoolServing:
         assert doc["front"]["counters"]["requests_total"] >= len(QUESTIONS)
         assert doc["weights"]["shared_bytes"] > 0
 
-    def test_front_404_and_405_pass_through(self, running):
+    def test_front_404_and_405_pass_through(self, running, raw_http):
         _, client = running
         status, body = client.request("GET", "/nope")
         assert status == 404 and "error" in body
         status, _ = client.request("GET", "/translate")
         assert status == 405
+        # keep-alive by default; "Connection: close" is answered, then closed
+        replies = raw_http(
+            client.host, client.port,
+            b"GET /nope HTTP/1.1\r\n\r\n"
+            b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert [(line, headers["Connection"]) for line, headers, _ in replies] == [
+            ("HTTP/1.1 404 Not Found", "keep-alive"),
+            ("HTTP/1.1 404 Not Found", "close"),
+        ]
 
-    def test_worker_error_statuses_not_retried(self, running):
-        _, client = running
+    def test_worker_error_statuses_not_retried(self, running, raw_http):
+        pool, client = running
         status, body = client.request(
             "POST", "/translate", {"question": "hi", "db": "missing-db"}
         )
         assert status == 404
         assert "unknown database" in body["error"]
+        # the front relays the answering worker's body byte for byte
+        payload = b'{"question": "hi", "db": "missing-db"}'
+        request = (
+            b"POST /translate HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload)
+        )
+        ((_, headers, front_body),) = raw_http(client.host, client.port, request)
+        worker = pool._workers[int(headers["X-Worker-Id"])]
+        ((_, _, worker_body),) = raw_http("127.0.0.1", worker.port, request)
+        assert front_body == worker_body
 
 
 class TestCrashRecovery:
