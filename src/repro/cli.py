@@ -513,6 +513,7 @@ def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
     ``repro trace summarize DIR`` stitches them into one tree.
     """
     import asyncio
+    import signal
     from pathlib import Path
 
     from repro.serve import PoolConfig, WorkerPool
@@ -555,8 +556,15 @@ def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
         print(f"serving on http://{host}:{port} with {args.workers} decode "
               f"workers (shared weights; batch<={config.max_batch_size} "
               f"per worker, flush {args.flush_ms}ms)")
+        serving = asyncio.ensure_future(pool._server.serve_forever())
+        # SIGTERM drains like Ctrl-C; without it the front dies and its
+        # forked workers keep running with their weight segments.
+        # Installed after the fork so workers keep their own handlers.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, serving.cancel
+        )
         try:
-            await pool._server.serve_forever()
+            await serving
         except asyncio.CancelledError:
             pass
         finally:

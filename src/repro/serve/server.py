@@ -52,6 +52,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -93,14 +94,21 @@ class _HTTPError(Exception):
 
 
 async def read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
-    """Read header lines up to the blank line; names lower-cased."""
+    """Read header lines up to the blank line; names lower-cased.
+
+    A repeated ``Content-Length`` raises :class:`_HTTPError` (400):
+    which copy frames the body is ambiguous, so neither is trusted.
+    """
     headers: Dict[str, str] = {}
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             return headers
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            raise _HTTPError(400, "duplicate Content-Length header")
+        headers[name] = value.strip()
 
 
 async def read_http_request(
@@ -110,8 +118,10 @@ async def read_http_request(
 
     Returns ``(method, target, lower-cased headers, body)``.  Raises
     :class:`_HTTPError` on malformed framing (400: bad request line,
-    over-long line, bad ``Content-Length``, truncated body) or an
-    oversized body (413), and nothing else.
+    over-long line, bad or repeated ``Content-Length``, truncated body),
+    an oversized body (413) or any ``Transfer-Encoding`` (501: bodies
+    are framed by ``Content-Length`` only, and the pool front re-frames
+    requests to its workers), and nothing else.
     """
     try:
         request_line = await reader.readline()
@@ -123,6 +133,8 @@ async def read_http_request(
         headers = await read_headers(reader)
     except ValueError:  # a line past the StreamReader's limit
         raise _HTTPError(400, "request line or header too long") from None
+    if "transfer-encoding" in headers:
+        raise _HTTPError(501, "Transfer-Encoding is not supported")
     length_text = headers.get("content-length", "0") or "0"
     if not length_text.isdecimal():
         raise _HTTPError(400, f"bad Content-Length: {length_text!r}")
@@ -178,8 +190,8 @@ async def serve_connection(
     payload, extra response headers)``; a dict payload is JSON-encoded
     here, after gaining ``latency_ms`` (on 200) and ``trace_id`` (when
     traced); a bytes payload is sent verbatim.  A framing error gets
-    its status (400/413) and closes the connection, since the rest of
-    the stream can no longer be framed.
+    its status (400/413/501) and closes the connection, since the rest
+    of the stream can no longer be framed.
     """
     loop = asyncio.get_running_loop()
     try:
@@ -309,9 +321,12 @@ class InferenceServer:
         # import is deferred: repro.pipeline imports the serve package
         # for the translator interface, so a module-level import here
         # would be circular.
-        from repro.pipeline import ExecuteStage
+        from repro.pipeline import ExecuteStage, Router
 
         self.pipeline_executor = ExecuteStage(cache=self.execution_cache)
+        #: one router for every /pipeline request, so its schema index
+        #: is built once per corpus rather than once per request
+        self.router = Router()
         #: optional request tracer: every request gets an ``http.request``
         #: span at ingress whose trace id follows it through the batcher
         #: (``batch.wait`` / ``decode`` spans) and comes back to the
@@ -642,6 +657,7 @@ class InferenceServer:
             ),
             budget=budget,
             executor=self.pipeline_executor,
+            router=self.router,
             tracer=self.tracer,
             metrics=self.metrics,
         )

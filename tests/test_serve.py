@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.neural.data import build_dataset, encode_source_batch
 from repro.neural.model import Seq2Vis
 from repro.perf import Histogram
+from repro.pipeline import route as route_module
 from repro.serve import (
     BackgroundServer,
     BaselineTranslator,
@@ -403,7 +404,8 @@ class TestMicroBatcher:
 _HEAD_LINES = st.one_of(
     st.binary(max_size=24),
     st.sampled_from(
-        [b"GET /healthz HTTP/1.1", b"POST /translate HTTP/1.1", b""]
+        [b"GET /healthz HTTP/1.1", b"POST /translate HTTP/1.1", b"",
+         b"Transfer-Encoding: chunked"]
     ),
     st.one_of(st.integers(-10, 100).map(str), st.text(max_size=6)).map(
         lambda value: b"Content-Length: " + value.encode("utf-8")
@@ -442,7 +444,7 @@ class TestReadHTTPRequest:
         try:
             request = asyncio.run(read())
         except _HTTPError as exc:
-            assert exc.status in (400, 413)
+            assert exc.status in (400, 413, 501)
             return
         if request is not None:
             _, _, headers, body = request
@@ -943,6 +945,34 @@ class TestPipelineEndpoint:
         db = sorted(databases)[0]
         response = client.pipeline("count rows", db=db, model="deepeye")
         assert "judge" not in response
+
+    def test_routed_requests_share_one_schema_index(
+        self, registry, stack, monkeypatch
+    ):
+        """The server builds the route index once, not per request."""
+        _, _, databases = stack
+        builds = []
+
+        class CountingIndex(route_module.SchemaIndex):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(route_module, "SchemaIndex", CountingIndex)
+        server = InferenceServer(registry, databases, ServerConfig(port=0))
+        with BackgroundServer(server) as background:
+            client = background.client()
+            responses = {
+                question: client.pipeline(question, model="deepeye")
+                for question in QUESTIONS[:4]
+            }
+        assert len(builds) == 1
+        reference = route_module.Router()
+        for question, response in responses.items():
+            assert response["routed"] is True
+            assert response["routes"] == [
+                route.to_json() for route in reference.route(question, databases)
+            ]
 
     def test_judge_must_be_boolean(self, running, stack):
         _, _, databases = stack

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.neural import Seq2Vis, build_dataset
+from repro.neural.persist import save_model
 from repro.obs import JsonlExporter, Tracer, load_spans, span_tree, summarize
 from repro.serve import (
     BackgroundServer,
@@ -27,10 +32,12 @@ from repro.serve import (
     ModelRegistry,
     NeuralTranslator,
     PoolConfig,
+    ServeClient,
     ServerConfig,
     WorkerPool,
 )
 from repro.serve.translate import translate_batch
+from repro.spider.corpus import save_corpus
 
 QUESTIONS = [
     "how many rows per category?",
@@ -130,6 +137,17 @@ FRAMING_PROBES = [
         b"POST /translate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
         % (ServerConfig().max_body_bytes + 1),
         "413 Payload Too Large", "exceeds limit", id="oversized-body",
+    ),
+    pytest.param(
+        b"POST /translate HTTP/1.1\r\nContent-Length: 2\r\n"
+        b"Content-Length: 0\r\n\r\n{}",
+        "400 Bad Request", "duplicate Content-Length",
+        id="duplicate-length",
+    ),
+    pytest.param(
+        b"POST /translate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n",
+        "501 Not Implemented", "Transfer-Encoding", id="transfer-encoding",
     ),
 ]
 
@@ -388,6 +406,54 @@ class TestLifecycle:
                 QUESTIONS[0], sorted(databases)[0], use_cache=False
             )
             assert "tokens" in response
+
+    def test_cli_sigterm_drains_pool(self, stack, small_corpus, tmp_path):
+        """``kill`` of a ``serve --workers 2`` front stops its workers."""
+        model, dataset, _ = stack
+        corpus_path = tmp_path / "corpus.json"
+        save_corpus(small_corpus, str(corpus_path))
+        model_path = save_model(
+            model, dataset.in_vocab, dataset.out_vocab, tmp_path / "m.npz"
+        )
+        before = _shm_segments()
+        front = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--corpus",
+             str(corpus_path), "--model", f"attn={model_path}",
+             "--workers", "2", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([front.stdout], [], [], 60)
+            assert ready, "the front printed no banner within 60 s"
+            banner = front.stdout.readline()
+            port = int(re.search(r":(\d+) with 2 decode workers", banner)[1])
+            client = ServeClient("127.0.0.1", port)
+            pids = [worker["pid"] for worker in client.healthz()["workers"]]
+            assert len(pids) == 2 and all(map(_running, pids))
+            assert _shm_segments() - before, "the model should be shared"
+
+            front.send_signal(signal.SIGTERM)
+            output, _ = front.communicate(timeout=30)
+            assert front.returncode == 0
+            assert "pool drained" in output
+            assert not [pid for pid in pids if _running(pid)]
+            assert _shm_segments() - before == set()
+        finally:
+            for pid in [front.pid, *pids]:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            front.wait(timeout=30)
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestCrossProcessTracing:
