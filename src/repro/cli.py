@@ -485,13 +485,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {registry.names()} on http://{host}:{port} "
               f"(batch<={config.max_batch_size}, flush {args.flush_ms}ms, "
               f"queue {config.max_queue_depth})")
-        try:
-            await server._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            # Runs inside the same loop on Ctrl-C: drain, then exit.
-            await server.shutdown()
+        await _serve_until_stopped(server._server, server.shutdown)
 
     try:
         asyncio.run(_main())
@@ -505,6 +499,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+async def _serve_until_stopped(server, drain) -> None:
+    """Serve until Ctrl-C or SIGTERM, then await *drain* in the same loop."""
+    import asyncio
+    import signal
+
+    serving = asyncio.ensure_future(server.serve_forever())
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, serving.cancel)
+    try:
+        await serving
+    except asyncio.CancelledError:
+        pass
+    finally:
+        await drain()
+
+
 def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
     """``serve --workers N`` (N > 1): the multi-process front/worker pool.
 
@@ -513,7 +522,6 @@ def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
     ``repro trace summarize DIR`` stitches them into one tree.
     """
     import asyncio
-    import signal
     from pathlib import Path
 
     from repro.serve import PoolConfig, WorkerPool
@@ -556,19 +564,10 @@ def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
         print(f"serving on http://{host}:{port} with {args.workers} decode "
               f"workers (shared weights; batch<={config.max_batch_size} "
               f"per worker, flush {args.flush_ms}ms)")
-        serving = asyncio.ensure_future(pool._server.serve_forever())
-        # SIGTERM drains like Ctrl-C; without it the front dies and its
-        # forked workers keep running with their weight segments.
-        # Installed after the fork so workers keep their own handlers.
-        asyncio.get_running_loop().add_signal_handler(
-            signal.SIGTERM, serving.cancel
-        )
-        try:
-            await serving
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await pool.shutdown()
+        # Without the SIGTERM drain the front dies and its forked workers
+        # keep running with their weight segments.  The handler is
+        # installed after the fork, so workers keep their own.
+        await _serve_until_stopped(pool._server, pool.shutdown)
 
     try:
         asyncio.run(_main())

@@ -341,19 +341,12 @@ def build_nvbench(
 
         units = _plan_units(corpus, config, stream, max_databases)
         config_fp = _config_fingerprint(config, mode)
-
-        with stage(profiler, "filter_train"), traced(tracer, "filter_train"):
-            if stream:
-                chart_filter = _make_filter_streamed(
-                    config, cache=cache, profiler=profiler,
-                    max_databases=max_databases,
-                )
-                filter_fp = content_hash({"streamed": True, "config": config_fp})
-            else:
-                chart_filter = _make_filter(
-                    corpus, config, cache=cache, profiler=profiler
-                )
-                filter_fp = _corpus_filter_fingerprint(corpus, config, config_fp)
+        # The filter fingerprint hashes the filter's inputs, never the
+        # trained filter, so shards can be checked before it is trained.
+        if stream:
+            filter_fp = content_hash({"streamed": True, "config": config_fp})
+        else:
+            filter_fp = _corpus_filter_fingerprint(corpus, config, config_fp)
 
         manifest = BuildManifest(
             mode=mode, config_fingerprint=config_fp, filter_fingerprint=filter_fp
@@ -373,15 +366,34 @@ def build_nvbench(
             keys[unit.db_name] = _unit_key(unit, config_fp, filter_fp, db_hash)
         if profiler is not None:
             profiler.count("shards_total", len(units))
+        pending, clean_pairs, clean_inputs = _skip_clean_units(
+            units, keys, manifest, previous, store, profiler
+        )
+
+        with stage(profiler, "filter_train"), traced(tracer, "filter_train"):
+            # A resume that finds every shard clean builds nothing, so it
+            # needs no filter: the stage stays, empty.
+            chart_filter = None
+            if pending and stream:
+                chart_filter = _make_filter_streamed(
+                    config, cache=cache, profiler=profiler,
+                    max_databases=max_databases,
+                )
+            elif pending:
+                chart_filter = _make_filter(
+                    corpus, config, cache=cache, profiler=profiler
+                )
 
         with stage(profiler, "synthesize"), traced(
             tracer, "synthesize", databases=len(units)
         ) as synth_span:
             collected, total_pairs, total_inputs = _run_units(
-                units, keys, manifest, previous, store, chart_filter, config,
+                pending, keys, manifest, store, chart_filter, config,
                 workers, cache, profiler, tracer, after_shard,
                 keep_pairs=store is None,
             )
+            total_pairs += clean_pairs
+            total_inputs += clean_inputs
             synth_span.set_attribute("input_pairs", total_inputs)
             synth_span.set_attribute("output_pairs", total_pairs)
 
@@ -451,13 +463,44 @@ def _plan_units(
     ]
 
 
-def _run_units(
+def _skip_clean_units(
     units: List[BuildUnit],
     keys: Dict[str, str],
     manifest: BuildManifest,
     previous: Optional[BuildManifest],
     store: Optional[ShardStore],
-    chart_filter: DeepEyeFilter,
+    profiler: Optional[BuildProfiler],
+) -> Tuple[List[BuildUnit], int, int]:
+    """Carry every clean shard of *previous* into *manifest*.
+
+    Returns ``(units still to build, pairs in clean shards, input pairs
+    in clean shards)``.
+    """
+    pending: List[BuildUnit] = []
+    clean_pairs = clean_inputs = 0
+    for unit in units:
+        if previous is not None:
+            prior = previous.entries.get(unit.db_name)
+            if prior is not None and store.entry_is_clean(prior, keys[unit.db_name]):
+                clean_pairs += prior.pairs
+                clean_inputs += prior.input_pairs
+                if profiler is not None:
+                    profiler.count("shards_skipped_clean")
+                manifest.entries[unit.db_name] = prior
+                store.save_manifest(manifest)
+                continue
+            if prior is not None and profiler is not None:
+                profiler.count("shards_rebuilt_dirty")
+        pending.append(unit)
+    return pending, clean_pairs, clean_inputs
+
+
+def _run_units(
+    pending: List[BuildUnit],
+    keys: Dict[str, str],
+    manifest: BuildManifest,
+    store: Optional[ShardStore],
+    chart_filter: Optional[DeepEyeFilter],
     config: NVBenchConfig,
     workers: int,
     cache: Optional[ExecutionCache],
@@ -466,7 +509,7 @@ def _run_units(
     after_shard: Optional[Callable[[int, str], None]],
     keep_pairs: bool,
 ) -> Tuple[List[Tuple[tuple, SynthesizedPair]], int, int]:
-    """Drive every unit: skip clean shards, build the rest, commit.
+    """Build every pending unit and commit its shard.
 
     Returns ``(collected pairs, total output pairs, total input pairs)``
     — ``collected`` is empty unless *keep_pairs* (the classic in-memory
@@ -477,7 +520,6 @@ def _run_units(
     collected: List[Tuple[tuple, SynthesizedPair]] = []
     total_pairs = 0
     total_inputs = 0
-    pending: List[BuildUnit] = []
 
     def commit(entry: ManifestEntry, unit: BuildUnit) -> None:
         manifest.entries[entry.name] = entry
@@ -486,21 +528,6 @@ def _run_units(
             cache.flush()
         if after_shard is not None:
             after_shard(unit.db_index, unit.db_name)
-
-    for unit in units:
-        if previous is not None:
-            prior = previous.entries.get(unit.db_name)
-            if prior is not None and store.entry_is_clean(prior, keys[unit.db_name]):
-                total_pairs += prior.pairs
-                total_inputs += prior.input_pairs
-                if profiler is not None:
-                    profiler.count("shards_skipped_clean")
-                manifest.entries[unit.db_name] = prior
-                store.save_manifest(manifest)
-                continue
-            if prior is not None and profiler is not None:
-                profiler.count("shards_rebuilt_dirty")
-        pending.append(unit)
 
     if workers <= 1 or len(pending) <= 1:
         for unit in pending:

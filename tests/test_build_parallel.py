@@ -209,6 +209,40 @@ class TestResumeAndCorruption:
         assert counters["shards_skipped_clean"] == counters["shards_total"]
         assert "shards_built" not in counters
 
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_clean_resume_trains_no_filter(self, tiny_corpus, tmp_path, stream):
+        source = {} if stream else {"corpus": tiny_corpus}
+        config = _stream_config() if stream else _config()
+        out = tmp_path / "dir"
+        build_nvbench(config=config, out=str(out), stream=stream, **source)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        profiler = BuildProfiler()
+        build_nvbench(
+            config=config, out=str(out), stream=stream, resume=True,
+            profiler=profiler, **source,
+        )
+        report = profiler.report()
+        assert "shards_built" not in report["counters"]
+        # the stage is still reported, but nothing ran inside it
+        assert "filter_train" in report["stages"]
+        for name in ("filter_candidates", "filter_featurize", "filter_fit"):
+            assert name not in report["stages"]
+        # journal included: a clean resume leaves every byte as it was
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+        victim = sorted((out / "shards").glob("*.jsonl"))[0]
+        victim.write_text("truncated mid-write")
+        profiler = BuildProfiler()
+        build_nvbench(
+            config=config, out=str(out), stream=stream, resume=True,
+            profiler=profiler, **source,
+        )
+        report = profiler.report()
+        assert report["counters"]["shards_built"] == 1
+        assert "filter_fit" in report["stages"]
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_truncated_shard_is_rebuilt_not_merged(self, tiny_corpus, tmp_path):
         out = tmp_path / "dir"
         build_nvbench(corpus=tiny_corpus, config=_config(), out=str(out))

@@ -446,6 +446,33 @@ class TestLifecycle:
                     os.kill(pid, signal.SIGKILL)
             front.wait(timeout=30)
 
+    def test_cli_sigterm_drains_single_process_server(self, small_corpus, tmp_path):
+        """``kill`` of a ``serve`` (one process) drains it as Ctrl-C does."""
+        corpus_path = tmp_path / "corpus.json"
+        save_corpus(small_corpus, str(corpus_path))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--corpus",
+             str(corpus_path), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            assert ready, "the server printed no banner within 60 s"
+            banner = server.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", banner)[1])
+            client = ServeClient("127.0.0.1", port)
+            assert client.healthz()["status"] == "ok"
+
+            server.send_signal(signal.SIGTERM)
+            output, _ = server.communicate(timeout=30)
+            assert server.returncode == 0, output
+            assert "server drained" in output
+        finally:
+            if _running(server.pid):
+                server.kill()
+            server.wait(timeout=30)
+
 
 def _running(pid: int) -> bool:
     """Whether *pid* is a live (not zombie) process."""
